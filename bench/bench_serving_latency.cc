@@ -149,45 +149,36 @@ BENCHMARK(BM_GatewayScoreOverLoopback)->Unit(benchmark::kMicrosecond);
 
 // The batched MS path at various batch sizes: per-ROW time, so the curve
 // shows how much of the single-request cost the batch amortizes (one
-// MultiGet round trip + one vectorized model call).
-void BM_ModelServerScoreBatch(benchmark::State& state) {
+// MultiGetView round trip + one vectorized model call). Requests, result
+// slots and scratch are reused across iterations, as the gateway does.
+void ScoreSpans(benchmark::State& state, int64_t deadline_us) {
   auto& fixture = ServingFixture::Get();
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
+  std::vector<titant::serving::TransferRequest> rows(batch);
+  std::vector<titant::StatusOr<titant::serving::Verdict>> out(
+      batch, titant::Status::Internal("unscored"));
+  titant::serving::ScoreScratch scratch;
   std::size_t i = 0;
   for (auto _ : state) {
-    std::vector<titant::serving::TransferRequest> rows;
-    rows.reserve(batch);
-    for (std::size_t b = 0; b < batch; ++b) {
-      rows.push_back(fixture.requests[i++ % fixture.requests.size()]);
-    }
-    const auto items = CheckOk(fixture.server->ScoreBatch(rows));
-    benchmark::DoNotOptimize(items.size());
+    for (auto& row : rows) row = fixture.requests[i++ % fixture.requests.size()];
+    CheckOk(fixture.server->ScoreSpan(rows.data(), batch, deadline_us, out.data(), &scratch));
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(batch));
 }
-BENCHMARK(BM_ModelServerScoreBatch)->Arg(1)->Arg(8)->Arg(32)->Unit(benchmark::kMicrosecond);
+
+void BM_ModelServerScoreSpan(benchmark::State& state) { ScoreSpans(state, 0); }
+BENCHMARK(BM_ModelServerScoreSpan)->Arg(1)->Arg(8)->Arg(32)->Unit(benchmark::kMicrosecond);
 
 // Same batch with an already-expired deadline: the fetch + decode stage is
 // skipped (every row degrades), leaving assembly + model + bookkeeping.
-// The delta against BM_ModelServerScoreBatch is the store-side cost.
-void BM_ModelServerScoreBatchDegraded(benchmark::State& state) {
-  auto& fixture = ServingFixture::Get();
-  const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  std::size_t i = 0;
-  for (auto _ : state) {
-    std::vector<titant::serving::TransferRequest> rows;
-    rows.reserve(batch);
-    for (std::size_t b = 0; b < batch; ++b) {
-      rows.push_back(fixture.requests[i++ % fixture.requests.size()]);
-    }
-    const auto items = CheckOk(fixture.server->ScoreBatch(rows, /*deadline_us=*/1));
-    benchmark::DoNotOptimize(items.size());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(batch));
+// The delta against BM_ModelServerScoreSpan is the store-side cost.
+void BM_ModelServerScoreSpanDegraded(benchmark::State& state) {
+  ScoreSpans(state, /*deadline_us=*/1);
 }
-BENCHMARK(BM_ModelServerScoreBatchDegraded)->Arg(8)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ModelServerScoreSpanDegraded)->Arg(8)->Unit(benchmark::kMicrosecond);
 
 // The vectorized model invocation alone (contiguous rows, no store).
 void BM_GbdtScoreBatchOnly(benchmark::State& state) {
@@ -207,49 +198,67 @@ void BM_GbdtScoreBatchOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_GbdtScoreBatchOnly)->Arg(1)->Arg(8)->Arg(32)->Unit(benchmark::kMicrosecond);
 
-// Sorted multi-probe KV read: per-probe cost against the point-Get bar.
-void BM_FeatureStoreMultiGet(benchmark::State& state) {
+/// Times MultiGetView — the production read path under ScoreSpan — over
+/// `per_iteration` probes whose keys `fill(keys, probes)` formats into one
+/// reused key block, with one ReadPin and result array reused across
+/// iterations as ScoreSpan's scratch does.
+template <typename Fill>
+void TimeMultiGetView(benchmark::State& state, std::size_t per_iteration, std::size_t key_bytes,
+                      Fill fill) {
   auto& fixture = ServingFixture::Get();
-  const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  uint32_t user = 0;
+  std::vector<char> keys(key_bytes);
+  std::vector<titant::kvstore::ColumnProbeView> probes;
+  titant::kvstore::ReadPin pin;
+  std::vector<titant::StatusOr<std::string_view>> values(per_iteration, std::string_view());
   for (auto _ : state) {
-    std::vector<titant::kvstore::ColumnProbe> probes;
-    probes.reserve(batch);
-    for (std::size_t b = 0; b < batch; ++b) {
-      probes.push_back({titant::serving::UserRowKey(user++ % 1500),
-                        titant::serving::kFamilyBasic, titant::serving::kQualSnapshot});
-    }
-    const auto values = fixture.store->MultiGet(probes);
-    benchmark::DoNotOptimize(values.size());
+    probes.clear();
+    fill(keys.data(), &probes);
+    pin.Reset();
+    fixture.store->MultiGetView(probes.data(), probes.size(), &pin, values.data());
+    benchmark::DoNotOptimize(values.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(batch));
+                          static_cast<int64_t>(per_iteration));
+}
+
+// Sorted multi-probe KV read: per-probe cost against the point-Get bar.
+void BM_FeatureStoreMultiGet(benchmark::State& state) {
+  using titant::serving::kUserRowKeyLen;
+  const std::size_t batch = static_cast<std::size_t>(state.range(0));
+  uint32_t user = 0;
+  TimeMultiGetView(state, batch, batch * kUserRowKeyLen, [&](char* keys, auto* probes) {
+    for (std::size_t b = 0; b < batch; ++b) {
+      probes->push_back({titant::serving::UserRowKeyTo(keys + b * kUserRowKeyLen, user++ % 1500),
+                         titant::serving::kFamilyBasic, titant::serving::kQualSnapshot});
+    }
+  });
 }
 BENCHMARK(BM_FeatureStoreMultiGet)->Arg(4)->Arg(32)->Unit(benchmark::kMicrosecond);
 
 // The exact probe mix ScoreSpan issues for a batch of 8: snapshot + aux +
 // city stats + transferee embedding per row.
 void BM_FeatureStoreMultiGetServingMix(benchmark::State& state) {
-  auto& fixture = ServingFixture::Get();
+  using titant::serving::kCityRowKeyLen;
+  using titant::serving::kUserRowKeyLen;
+  constexpr std::size_t kKeysPerRow = 2 * kUserRowKeyLen + kCityRowKeyLen;
+  const auto& requests = ServingFixture::Get().requests;
   std::size_t i = 0;
-  for (auto _ : state) {
-    std::vector<titant::kvstore::ColumnProbe> probes;
-    probes.reserve(32);
+  TimeMultiGetView(state, 32, 8 * kKeysPerRow, [&](char* keys, auto* probes) {
     for (std::size_t b = 0; b < 8; ++b) {
-      const auto& req = fixture.requests[i++ % fixture.requests.size()];
-      std::string row = titant::serving::UserRowKey(req.from_user);
-      probes.push_back({row, titant::serving::kFamilyBasic, titant::serving::kQualSnapshot});
-      probes.push_back({std::move(row), titant::serving::kFamilyBasic,
-                        titant::serving::kQualAux});
-      probes.push_back({titant::serving::CityRowKey(req.trans_city),
-                        titant::serving::kFamilyCity, titant::serving::kQualStats});
-      probes.push_back({titant::serving::UserRowKey(req.to_user),
-                        titant::serving::kFamilyEmbedding, titant::serving::kQualVector});
+      const auto& req = requests[i++ % requests.size()];
+      char* base = keys + b * kKeysPerRow;
+      const std::string_view from = titant::serving::UserRowKeyTo(base, req.from_user);
+      const std::string_view city =
+          titant::serving::CityRowKeyTo(base + kUserRowKeyLen, req.trans_city);
+      const std::string_view to =
+          titant::serving::UserRowKeyTo(base + kUserRowKeyLen + kCityRowKeyLen, req.to_user);
+      probes->push_back({from, titant::serving::kFamilyBasic, titant::serving::kQualSnapshot});
+      probes->push_back({from, titant::serving::kFamilyBasic, titant::serving::kQualAux});
+      probes->push_back({city, titant::serving::kFamilyCity, titant::serving::kQualStats});
+      probes->push_back({to, titant::serving::kFamilyEmbedding, titant::serving::kQualVector});
     }
-    const auto values = fixture.store->MultiGet(probes);
-    benchmark::DoNotOptimize(values.size());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 32);
+  });
 }
 BENCHMARK(BM_FeatureStoreMultiGetServingMix)->Unit(benchmark::kMicrosecond);
 

@@ -6,9 +6,10 @@ namespace titant::maxcompute {
 
 namespace {
 
-// v2 magic ("TTC2" little-endian). Unambiguous against v1 blobs: v1 leads
-// with a u32 column count capped at 1<<16, far below this value.
-constexpr uint32_t kMagicV2 = 0x32435454u;
+// Blob magic ("TTC2" little-endian). It cannot match a retired row-major
+// blob, whose first u32 is a column count capped at 1<<16, so such a blob
+// is rejected by the magic check rather than misparsed.
+constexpr uint32_t kMagic = 0x32435454u;
 constexpr uint32_t kMaxColumns = 1u << 16;
 
 void PutU32(std::string* out, uint32_t v) {
@@ -540,7 +541,7 @@ void Table::MaterializeRowInto(std::size_t i, Row* out) const {
 // ---------------------------------------------------------------------------
 // Serialization
 //
-// v2 layout (all integers little-endian):
+// Layout (v2, the only live one; all integers little-endian):
 //   u32 magic "TTC2"
 //   u32 ncols;  per column: u32-prefixed name, u8 declared type
 //   u32 nrows
@@ -549,14 +550,12 @@ void Table::MaterializeRowInto(std::size_t i, Row* out) const {
 //     if has_nulls: packed null bitmap, (nrows+7)/8 bytes (bit i = row i)
 //     payload: kI64/kF64 raw 8B per row; kBool 1B per row; kStr u32 end
 //       offsets per row then u32 blob size then the blob; kMixed one
-//       v1-style tagged Value per row; kEmpty nothing.
-// v1 layout (legacy, no magic): u32 ncols, schema, u32 nrows, then rows of
-// tagged Values. v1 blobs parse through the fallback below and upgrade to
-// v2 the next time they are written.
+//       tagged Value (PutValue) per row; kEmpty nothing.
+// A blob without the magic (the retired row-major v1 layout) is DataLoss.
 
 std::string Table::Serialize() const {
   std::string out;
-  PutU32(&out, kMagicV2);
+  PutU32(&out, kMagic);
   PutU32(&out, static_cast<uint32_t>(schema_.num_columns()));
   for (const auto& col : schema_.columns()) {
     PutString(&out, col.name);
@@ -606,20 +605,6 @@ std::string Table::Serialize() const {
   return out;
 }
 
-std::string Table::SerializeV1() const {
-  std::string out;
-  PutU32(&out, static_cast<uint32_t>(schema_.num_columns()));
-  for (const auto& col : schema_.columns()) {
-    PutString(&out, col.name);
-    out.push_back(static_cast<char>(col.type));
-  }
-  PutU32(&out, static_cast<uint32_t>(num_rows_));
-  for (std::size_t r = 0; r < num_rows_; ++r) {
-    for (const auto& col : cols_) PutValue(&out, col.ValueAt(r));
-  }
-  return out;
-}
-
 namespace {
 
 StatusOr<Schema> ParseSchema(const std::string& blob, std::size_t* offset,
@@ -638,8 +623,14 @@ StatusOr<Schema> ParseSchema(const std::string& blob, std::size_t* offset,
   return Schema(std::move(columns));
 }
 
-StatusOr<Table> DeserializeV1(const std::string& blob) {
+}  // namespace
+
+StatusOr<Table> Table::Deserialize(const std::string& blob) {
   std::size_t offset = 0;
+  uint32_t magic = 0;
+  if (!GetU32(blob, &offset, &magic) || magic != kMagic) {
+    return Status::DataLoss("table blob: missing TTC2 magic");
+  }
   uint32_t num_columns = 0;
   if (!GetU32(blob, &offset, &num_columns) || num_columns > kMaxColumns) {
     return Status::DataLoss("table blob: bad column count");
@@ -648,62 +639,27 @@ StatusOr<Table> DeserializeV1(const std::string& blob) {
   TITANT_RETURN_IF_ERROR(schema.status());
   Table table{std::move(*schema)};
   uint32_t num_rows = 0;
-  if (!GetU32(blob, &offset, &num_rows)) return Status::DataLoss("table blob: row count");
+  if (!GetU32(blob, &offset, &num_rows)) {
+    return Status::DataLoss("table blob: row count");
+  }
   if (num_columns == 0 && num_rows > 0) {
     return Status::DataLoss("table blob: rows without columns");
-  }
-  // Every cell costs at least one tag byte; refuse row counts the buffer
-  // cannot possibly hold before reserving anything.
-  if (num_columns > 0 && !FitsRemaining(blob, offset, num_rows, num_columns)) {
-    return Status::DataLoss("table blob: row count past buffer");
-  }
-  table.Reserve(num_rows);
-  Row row;
-  for (uint32_t r = 0; r < num_rows; ++r) {
-    row.resize(num_columns);
-    for (auto& value : row) {
-      if (!GetValue(blob, &offset, &value)) {
-        return Status::DataLoss("table blob: truncated row");
-      }
-    }
-    TITANT_RETURN_IF_ERROR(table.Append(std::move(row)));
-    row.clear();
-  }
-  if (offset != blob.size()) return Status::DataLoss("table blob: trailing bytes");
-  return table;
-}
-
-StatusOr<Table> DeserializeV2(const std::string& blob) {
-  std::size_t offset = sizeof(uint32_t);  // past the magic
-  uint32_t num_columns = 0;
-  if (!GetU32(blob, &offset, &num_columns) || num_columns > kMaxColumns) {
-    return Status::DataLoss("table blob v2: bad column count");
-  }
-  auto schema = ParseSchema(blob, &offset, num_columns);
-  TITANT_RETURN_IF_ERROR(schema.status());
-  Table table{std::move(*schema)};
-  uint32_t num_rows = 0;
-  if (!GetU32(blob, &offset, &num_rows)) {
-    return Status::DataLoss("table blob v2: row count");
-  }
-  if (num_columns == 0 && num_rows > 0) {
-    return Status::DataLoss("table blob v2: rows without columns");
   }
   // A populated column costs at least its null bitmap (the all-null kEmpty
   // lane carries no payload), so n/8 bytes per column bounds any honest row
   // count — refuse larger claims before allocating null masks.
   if (num_columns > 0 && num_rows > 0 &&
       !FitsRemaining(blob, offset, num_rows / 8, num_columns)) {
-    return Status::DataLoss("table blob v2: row count past buffer");
+    return Status::DataLoss("table blob: row count past buffer");
   }
   const std::size_t n = num_rows;
   std::vector<Table::ColumnData> cols(num_columns);
   for (auto& col : cols) {
-    if (offset + 2 > blob.size()) return Status::DataLoss("table blob v2: truncated column header");
+    if (offset + 2 > blob.size()) return Status::DataLoss("table blob: truncated column header");
     const uint8_t lane_byte = static_cast<uint8_t>(blob[offset++]);
     const uint8_t has_nulls = static_cast<uint8_t>(blob[offset++]);
     if (lane_byte > static_cast<uint8_t>(Table::Lane::kMixed) || has_nulls > 1) {
-      return Status::DataLoss("table blob v2: bad column header");
+      return Status::DataLoss("table blob: bad column header");
     }
     col.lane = static_cast<Table::Lane>(lane_byte);
     col.nulls.assign(n, col.lane == Table::Lane::kEmpty ? 1 : 0);
@@ -711,7 +667,7 @@ StatusOr<Table> DeserializeV2(const std::string& blob) {
     if (has_nulls) {
       const std::size_t bitmap_bytes = (n + 7) / 8;
       if (bitmap_bytes > blob.size() - offset) {
-        return Status::DataLoss("table blob v2: truncated null bitmap");
+        return Status::DataLoss("table blob: truncated null bitmap");
       }
       for (std::size_t i = 0; i < n; ++i) {
         col.nulls[i] =
@@ -724,7 +680,7 @@ StatusOr<Table> DeserializeV2(const std::string& blob) {
         break;
       case Table::Lane::kI64: {
         if (!FitsRemaining(blob, offset, n, sizeof(int64_t))) {
-          return Status::DataLoss("table blob v2: truncated int64 lane");
+          return Status::DataLoss("table blob: truncated int64 lane");
         }
         col.i64.resize(n);
         std::memcpy(col.i64.data(), blob.data() + offset, n * sizeof(int64_t));
@@ -733,7 +689,7 @@ StatusOr<Table> DeserializeV2(const std::string& blob) {
       }
       case Table::Lane::kF64: {
         if (!FitsRemaining(blob, offset, n, sizeof(double))) {
-          return Status::DataLoss("table blob v2: truncated double lane");
+          return Status::DataLoss("table blob: truncated double lane");
         }
         col.f64.resize(n);
         std::memcpy(col.f64.data(), blob.data() + offset, n * sizeof(double));
@@ -742,7 +698,7 @@ StatusOr<Table> DeserializeV2(const std::string& blob) {
       }
       case Table::Lane::kBool: {
         if (!FitsRemaining(blob, offset, n, 1)) {
-          return Status::DataLoss("table blob v2: truncated bool lane");
+          return Status::DataLoss("table blob: truncated bool lane");
         }
         col.b8.resize(n);
         std::memcpy(col.b8.data(), blob.data() + offset, n);
@@ -751,21 +707,21 @@ StatusOr<Table> DeserializeV2(const std::string& blob) {
       }
       case Table::Lane::kStr: {
         if (!FitsRemaining(blob, offset, n + 1, sizeof(uint32_t))) {
-          return Status::DataLoss("table blob v2: truncated string offsets");
+          return Status::DataLoss("table blob: truncated string offsets");
         }
         std::vector<uint32_t> ends(n);
         uint32_t prev = 0;
         for (std::size_t i = 0; i < n; ++i) {
           uint32_t end = 0;
           (void)GetU32(blob, &offset, &end);
-          if (end < prev) return Status::DataLoss("table blob v2: string offsets not monotonic");
+          if (end < prev) return Status::DataLoss("table blob: string offsets not monotonic");
           ends[i] = end;
           prev = end;
         }
         uint32_t blob_size = 0;
         (void)GetU32(blob, &offset, &blob_size);
         if (blob_size != prev || blob_size > blob.size() - offset) {
-          return Status::DataLoss("table blob v2: string payload past buffer");
+          return Status::DataLoss("table blob: string payload past buffer");
         }
         col.str.resize(n);
         uint32_t start = 0;
@@ -778,41 +734,24 @@ StatusOr<Table> DeserializeV2(const std::string& blob) {
       }
       case Table::Lane::kMixed: {
         if (!FitsRemaining(blob, offset, n, 1)) {
-          return Status::DataLoss("table blob v2: truncated mixed lane");
+          return Status::DataLoss("table blob: truncated mixed lane");
         }
         col.mixed.resize(n);
         for (std::size_t i = 0; i < n; ++i) {
           if (!GetValue(blob, &offset, &col.mixed[i])) {
-            return Status::DataLoss("table blob v2: truncated mixed value");
+            return Status::DataLoss("table blob: truncated mixed value");
           }
           if (col.mixed[i].is_null() && !col.nulls[i]) {
-            return Status::DataLoss("table blob v2: null cell outside bitmap");
+            return Status::DataLoss("table blob: null cell outside bitmap");
           }
         }
         break;
       }
     }
   }
-  if (offset != blob.size()) return Status::DataLoss("table blob v2: trailing bytes");
+  if (offset != blob.size()) return Status::DataLoss("table blob: trailing bytes");
   TITANT_RETURN_IF_ERROR(table.AdoptColumns(std::move(cols)));
   return table;
-}
-
-}  // namespace
-
-StatusOr<Table> Table::Deserialize(const std::string& blob,
-                                   uint32_t* format_version) {
-  std::size_t probe = 0;
-  uint32_t head = 0;
-  if (!GetU32(blob, &probe, &head)) {
-    return Status::DataLoss("table blob: truncated header");
-  }
-  if (head == kMagicV2) {
-    if (format_version != nullptr) *format_version = 2;
-    return DeserializeV2(blob);
-  }
-  if (format_version != nullptr) *format_version = 1;
-  return DeserializeV1(blob);
 }
 
 }  // namespace titant::maxcompute

@@ -140,20 +140,15 @@ class Table {
   /// Same, reusing `out`'s storage across calls.
   void MaterializeRowInto(std::size_t i, Row* out) const;
 
-  /// Serializes schema + columns to the columnar v2 binary blob (Pangu
+  /// Serializes schema + columns to the columnar binary blob (Pangu
   /// format; magic "TTC2", packed null bitmaps, flat typed payloads).
   std::string Serialize() const;
 
-  /// Legacy row-major v1 writer, kept as a fixture generator so the v1
-  /// fallback parser stays covered (old blobs upgrade on rewrite).
-  std::string SerializeV1() const;
-
-  /// Parses either format; v1 blobs (no magic) take the row-major fallback
-  /// path. Hostile blobs (truncated headers, counts past the buffer,
-  /// string lengths out of bounds) return DataLoss without reading out of
-  /// bounds. If `format_version` is non-null it receives 1 or 2.
-  static StatusOr<Table> Deserialize(const std::string& blob,
-                                     uint32_t* format_version = nullptr);
+  /// Parses a Serialize() blob. A blob without the "TTC2" magic (the
+  /// retired row-major layout) and hostile blobs (truncated headers,
+  /// counts past the buffer, string lengths out of bounds) return DataLoss
+  /// without reading out of bounds.
+  static StatusOr<Table> Deserialize(const std::string& blob);
 
  private:
   Schema schema_;

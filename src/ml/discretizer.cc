@@ -89,6 +89,7 @@ StatusOr<Discretizer> Discretizer::Deserialize(const std::string& blob) {
   const char* p = blob.data();
   const char* end = blob.data() + blob.size();
   auto read = [&](void* dst, std::size_t n) -> bool {
+    if (n == 0) return true;  // An empty vector's data() may be null.
     if (p + n > end) return false;
     std::memcpy(dst, p, n);
     p += n;

@@ -222,6 +222,7 @@ StatusOr<std::unique_ptr<LogisticRegressionModel>> LogisticRegressionModel::From
   const char* p = payload.data();
   const char* end = payload.data() + payload.size();
   auto read = [&](void* dst, std::size_t n) -> bool {
+    if (n == 0) return true;  // An empty vector's data() may be null.
     if (p + n > end) return false;
     std::memcpy(dst, p, n);
     p += n;

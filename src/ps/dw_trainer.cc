@@ -170,7 +170,12 @@ StatusOr<nrl::EmbeddingMatrix> DistributedDeepWalkTrain(KunPengCluster& cluster,
         if (options.model_average) {
           client.Push(keys, local, dim, PushOp::kAverage);
         } else {
-          for (std::size_t i = 0; i < local.size(); ++i) local[i] -= original[i];
+          // Parallel deltas from one snapshot average rather than sum, so
+          // the step does not grow with the worker count.
+          const float share = 1.0f / static_cast<float>(workers);
+          for (std::size_t i = 0; i < local.size(); ++i) {
+            local[i] = (local[i] - original[i]) * share;
+          }
           client.Push(keys, local, dim, PushOp::kAdd);
         }
       }

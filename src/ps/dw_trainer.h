@@ -17,7 +17,9 @@ struct DistributedDwOptions {
   int batch_walks = 64;
   /// When true, workers push full updated embeddings and servers combine
   /// them with the model-average operation (the paper's aggregation);
-  /// when false, workers push additive deltas (classic async-SGD PS).
+  /// when false, workers push additive deltas (classic async-SGD PS),
+  /// each scaled by 1/num_workers: parallel workers compute their deltas
+  /// from the same stale snapshot, and summing them unscaled overshoots.
   bool model_average = false;
   /// When true, the servers' existing parameters are kept (resuming after
   /// a failure recovery via KunPengCluster::Restore) instead of being

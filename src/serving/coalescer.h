@@ -12,14 +12,14 @@
 
 namespace titant::serving {
 
-/// Group-commit micro-batcher in front of ModelServerRouter::ScoreBatch —
+/// Group-commit micro-batcher in front of ModelServerRouter::ScoreSpan —
 /// the WAL group-commit idea applied to scoring. Concurrent single scores
-/// coalesce into one batched dispatch (one MultiGet round trip, one
+/// coalesce into one batched dispatch (one MultiGetView round trip, one
 /// vectorized model invocation) without any timer:
 ///
 ///   - A thread that arrives while a leader slot is free becomes a
 ///     leader. It drains whatever is queued (up to `max_batch` rows) into
-///     one ScoreBatch call, and keeps draining batches until its own
+///     one ScoreSpan call, and keeps draining batches until its own
 ///     request has been answered or the queue is empty.
 ///   - Threads that arrive while every leader slot is busy queue up; an
 ///     in-flight leader picks them up on its next drain, or one of them
@@ -76,7 +76,7 @@ class ScoreCoalescer {
     bool done = false;
   };
 
-  /// Pops up to max_batch_ queued callers, scores them in one ScoreBatch
+  /// Pops up to max_batch_ queued callers, scores them in one ScoreSpan
   /// (with mu_ released around the dispatch; drain state lives in a
   /// thread-local scratch so concurrent leaders never share buffers),
   /// publishes per-caller results, and wakes everyone. Requires a

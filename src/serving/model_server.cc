@@ -59,14 +59,6 @@ StatusOr<Verdict> ModelServer::Score(const TransferRequest& request, int64_t dea
   return verdict;
 }
 
-StatusOr<std::vector<StatusOr<Verdict>>> ModelServer::ScoreBatch(
-    const std::vector<TransferRequest>& requests, int64_t deadline_us) {
-  std::vector<StatusOr<Verdict>> out(requests.size(),
-                                     StatusOr<Verdict>(Status::Internal("unscored")));
-  TITANT_RETURN_IF_ERROR(ScoreSpan(requests.data(), requests.size(), deadline_us, out.data()));
-  return out;
-}
-
 Status ModelServer::ScoreSpan(const TransferRequest* requests, std::size_t n,
                               int64_t deadline_us, StatusOr<Verdict>* out,
                               ScoreScratch* scratch) {

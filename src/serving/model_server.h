@@ -97,26 +97,23 @@ class ModelServer {
   /// they are authoritative answers, not outages.
   StatusOr<Verdict> Score(const TransferRequest& request, int64_t deadline_us = 0);
 
-  /// Scores a batch of requests with ONE feature-store round trip
-  /// (AliHBase::MultiGet over every row's probes) and ONE vectorized model
-  /// invocation (ml::Model::ScoreBatch). Score is the batch-of-1 special
-  /// case of this path.
+  /// The batch engine behind Score: scores `requests[0..n)` with ONE
+  /// feature-store round trip (KvTable::MultiGetView over every row's
+  /// probes) and ONE vectorized model invocation (ml::Model::ScoreBatch),
+  /// filling `out[0..n)` with per-item results. Score is the batch-of-1
+  /// special case.
   ///
-  /// The outer Status covers instance-level failures only (no model
+  /// The returned Status covers instance-level failures only (no model
   /// loaded, injected serving.score faults) — the router keys failover
-  /// and circuit breaking off it. Everything request-scoped is per item:
-  /// an infra-failed or budget-starved fetch degrades *that* row (cold
-  /// defaults + degraded flag), a data error (unknown user, corrupt blob)
-  /// fails *that* row, and the siblings score clean either way.
-  StatusOr<std::vector<StatusOr<Verdict>>> ScoreBatch(
-      const std::vector<TransferRequest>& requests, int64_t deadline_us = 0);
-
-  /// The batch engine behind Score and ScoreBatch, exposed for callers
-  /// that own their buffers: fills `out[0..n)` with per-item results
-  /// unless the whole call fails at instance level. `scratch` holds every
-  /// intermediate buffer and is reused across calls (nullptr selects a
-  /// per-thread default); with a warm scratch the all-hits steady state
-  /// allocates nothing.
+  /// and circuit breaking off it, and `out` is unspecified when it is not
+  /// OK. Everything request-scoped is per item: an infra-failed or
+  /// budget-starved fetch degrades *that* row (cold defaults + degraded
+  /// flag), a data error (unknown user, corrupt blob) fails *that* row,
+  /// and the siblings score clean either way.
+  ///
+  /// `scratch` holds every intermediate buffer and is reused across calls
+  /// (nullptr selects a per-thread default); with a warm scratch the
+  /// all-hits steady state allocates nothing.
   Status ScoreSpan(const TransferRequest* requests, std::size_t n, int64_t deadline_us,
                    StatusOr<Verdict>* out, ScoreScratch* scratch = nullptr);
 

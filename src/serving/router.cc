@@ -65,14 +65,6 @@ StatusOr<Verdict> ModelServerRouter::Score(const TransferRequest& request, int64
   return verdict;
 }
 
-StatusOr<std::vector<StatusOr<Verdict>>> ModelServerRouter::ScoreBatch(
-    const std::vector<TransferRequest>& requests, int64_t deadline_us) {
-  std::vector<StatusOr<Verdict>> out(requests.size(),
-                                     StatusOr<Verdict>(Status::Internal("unscored")));
-  TITANT_RETURN_IF_ERROR(ScoreSpan(requests.data(), requests.size(), deadline_us, out.data()));
-  return out;
-}
-
 Status ModelServerRouter::ScoreSpan(const TransferRequest* requests, std::size_t n,
                                     int64_t deadline_us, StatusOr<Verdict>* out,
                                     ScoreScratch* scratch) {

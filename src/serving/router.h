@@ -54,19 +54,14 @@ class ModelServerRouter {
   /// to the instance for degraded-mode budget checks.
   StatusOr<Verdict> Score(const TransferRequest& request, int64_t deadline_us = 0);
 
-  /// Batch counterpart of Score (and the engine behind it: Score is the
-  /// batch-of-1 special case). One dispatch decision picks one instance to
-  /// score the whole batch; instance-level failures fail over the batch as
-  /// a unit and feed that instance's breaker, while per-item outcomes
-  /// (degraded rows, unknown users) ride inside the returned vector.
-  StatusOr<std::vector<StatusOr<Verdict>>> ScoreBatch(
-      const std::vector<TransferRequest>& requests, int64_t deadline_us = 0);
-
-  /// Span engine behind Score and ScoreBatch, mirroring
-  /// ModelServer::ScoreSpan: results land in `out[0..n)`, every buffer
-  /// lives in `scratch` (nullptr = the chosen instance's per-thread
-  /// default), and a warm scratch keeps the whole dispatch allocation-free.
-  /// Failover/breaker semantics are identical to ScoreBatch.
+  /// The engine behind Score, mirroring ModelServer::ScoreSpan: one
+  /// dispatch decision picks one instance to score the whole span, and
+  /// results land in `out[0..n)`. Instance-level failures fail over the
+  /// span as a unit and feed that instance's breaker, while per-item
+  /// outcomes (degraded rows, unknown users) ride inside `out`. Every
+  /// buffer lives in `scratch` (nullptr = the chosen instance's
+  /// per-thread default), and a warm scratch keeps the whole dispatch
+  /// allocation-free.
   Status ScoreSpan(const TransferRequest* requests, std::size_t n, int64_t deadline_us,
                    StatusOr<Verdict>* out, ScoreScratch* scratch = nullptr);
 

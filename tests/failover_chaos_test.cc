@@ -3,7 +3,7 @@
 // KvStoreServer's watermark protocol (idempotent replay, gap refusal,
 // snapshot adoption) over real TCP, WAL shipping primary -> standby, and
 // the serving-layer FailoverStore under deterministic failpoint
-// schedules that kill or hang the primary mid-ScoreBatch and mid-ingest.
+// schedules that kill or hang the primary mid-ScoreSpan and mid-ingest.
 // The availability contract under test: a dead primary never fails a
 // score (verdicts go degraded, not absent), counter publishes keep
 // landing, the standby's state equals the primary's replicated
@@ -433,9 +433,10 @@ TEST_F(FailoverChaosTest, PrimaryKilledMidBatchNeverFailsAScore) {
   for (int i = 0; i < 10; ++i) {
     std::vector<serving::TransferRequest> batch;
     for (int j = 0; j < 4; ++j) batch.push_back(Transfer(t0 + i * 40 + j));
-    auto verdicts = router_->ScoreBatch(batch);
-    ASSERT_TRUE(verdicts.ok()) << verdicts.status().ToString();
-    for (const auto& verdict : *verdicts) {
+    std::vector<StatusOr<serving::Verdict>> verdicts(4, Status::Internal("unscored"));
+    const Status status = router_->ScoreSpan(batch.data(), 4, 0, verdicts.data());
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    for (const auto& verdict : verdicts) {
       // The availability contract: zero failed scores across the kill.
       ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
       if (verdict->degraded) ++degraded;
@@ -479,9 +480,10 @@ TEST_F(FailoverChaosTest, PrimaryHangMidBatchFailsOverWithoutFailingScores) {
   for (int i = 0; i < 8; ++i) {
     std::vector<serving::TransferRequest> batch;
     for (int j = 0; j < 4; ++j) batch.push_back(Transfer(t0 + i * 40 + j));
-    auto verdicts = router_->ScoreBatch(batch);
-    ASSERT_TRUE(verdicts.ok()) << verdicts.status().ToString();
-    for (const auto& verdict : *verdicts) {
+    std::vector<StatusOr<serving::Verdict>> verdicts(4, Status::Internal("unscored"));
+    const Status status = router_->ScoreSpan(batch.data(), 4, 0, verdicts.data());
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    for (const auto& verdict : verdicts) {
       ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
     }
   }

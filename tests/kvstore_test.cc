@@ -8,7 +8,9 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <set>
+#include <string_view>
 #include <thread>
 
 #include "common/random.h"
@@ -234,6 +236,18 @@ std::vector<Cell> MakeSortedCells(int rows, int versions) {
   return cells;
 }
 
+/// The value of the newest visible cell of `row`/bf:`qualifier` at
+/// `snapshot`, read through the table's view path; nullopt when absent.
+std::optional<std::string> TableGet(const SSTable& table, const std::string& row,
+                                    const std::string& qualifier, uint64_t snapshot) {
+  CellViewRec rec;
+  BlockCache::Block pin;
+  if (!table.GetView(row, "bf", qualifier, snapshot, BloomHashOf(row), &rec, &pin)) {
+    return std::nullopt;
+  }
+  return std::string(rec.value);
+}
+
 TEST(SSTableTest, WriteOpenGet) {
   const std::string dir = TempDir("sst");
   fs::create_directories(dir);
@@ -245,17 +259,13 @@ TEST(SSTableTest, WriteOpenGet) {
   EXPECT_EQ(table->num_cells(), 300u);
 
   // Latest version at unbounded snapshot.
-  auto cell = table->Get(StrCatRow(42), "bf", "q", UINT64_MAX);
-  ASSERT_TRUE(cell.has_value());
-  EXPECT_EQ(cell->value, "val_42_3");
+  EXPECT_EQ(TableGet(*table, StrCatRow(42), "q", UINT64_MAX), "val_42_3");
   // Snapshot pinned to version 2.
-  cell = table->Get(StrCatRow(42), "bf", "q", 2);
-  ASSERT_TRUE(cell.has_value());
-  EXPECT_EQ(cell->value, "val_42_2");
+  EXPECT_EQ(TableGet(*table, StrCatRow(42), "q", 2), "val_42_2");
   // Missing row.
-  EXPECT_FALSE(table->Get("rowZZZ", "bf", "q", UINT64_MAX).has_value());
+  EXPECT_FALSE(TableGet(*table, "rowZZZ", "q", UINT64_MAX).has_value());
   // Missing qualifier.
-  EXPECT_FALSE(table->Get(StrCatRow(42), "bf", "nope", UINT64_MAX).has_value());
+  EXPECT_FALSE(TableGet(*table, StrCatRow(42), "nope", UINT64_MAX).has_value());
 }
 
 TEST(SSTableTest, IteratorCoversAllCellsInOrder) {
@@ -348,7 +358,7 @@ TEST(StoreTest, OverwriteSameVersionTakesLatestWrite) {
   EXPECT_EQ(*(*store)->Get("u", "bf", "x"), "second");
 }
 
-TEST(StoreTest, GetRowAndScan) {
+TEST(StoreTest, RowScanAndRangeScan) {
   auto store = AliHBase::Open(MemOptions());
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE((*store)->Put("u1", "bf", "age", "30", 1).ok());
@@ -356,11 +366,14 @@ TEST(StoreTest, GetRowAndScan) {
   ASSERT_TRUE((*store)->Put("u2", "bf", "age", "40", 1).ok());
   ASSERT_TRUE((*store)->Put("u3", "bf", "age", "50", 1).ok());
 
-  const auto row = (*store)->GetRow("u1");
+  // One row's columns: the scan of [row, row + '\0').
+  const auto row = (*store)->Scan("u1", std::string("u1") + '\0');
   ASSERT_TRUE(row.ok());
-  EXPECT_EQ(row->size(), 2u);
-  EXPECT_EQ(row->at("bf:age"), "30");
-  EXPECT_EQ(row->at("emb:vec"), "E1");
+  ASSERT_EQ(row->size(), 2u);
+  EXPECT_EQ((*row)[0].key.family, "bf");
+  EXPECT_EQ((*row)[0].value, "30");
+  EXPECT_EQ((*row)[1].key.family, "emb");
+  EXPECT_EQ((*row)[1].value, "E1");
 
   const auto scan = (*store)->Scan("u1", "u3");
   ASSERT_TRUE(scan.ok());
@@ -370,86 +383,28 @@ TEST(StoreTest, GetRowAndScan) {
   EXPECT_EQ(limited->size(), 2u);
 }
 
-TEST(StoreTest, MultiGetPreservesProbeOrderAndPerProbeErrors) {
-  auto store = AliHBase::Open(MemOptions());
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->Put("u1", "bf", "age", "30", 1).ok());
-  ASSERT_TRUE((*store)->Put("u2", "bf", "age", "40", 1).ok());
-  ASSERT_TRUE((*store)->Put("u1", "emb", "vec", "E1", 1).ok());
-
-  // Deliberately unsorted probe order, with failures interleaved: results
-  // must come back in probe order, and a failing probe must not poison
-  // its batch siblings.
-  const std::vector<ColumnProbe> probes = {
-      {"u2", "bf", "age"},       // hit
-      {"u9", "bf", "age"},       // NotFound: absent row
-      {"u1", "emb", "vec"},      // hit
-      {"u1", "nope", "q"},       // InvalidArgument: undeclared family
-      {"u1", "bf", "age"},       // hit
-  };
-  const auto results = (*store)->MultiGet(probes);
-  ASSERT_EQ(results.size(), probes.size());
-  EXPECT_EQ(*results[0], "40");
-  EXPECT_TRUE(results[1].status().IsNotFound());
-  EXPECT_EQ(*results[2], "E1");
-  EXPECT_TRUE(results[3].status().IsInvalidArgument());
-  EXPECT_EQ(*results[4], "30");
-}
-
-TEST(StoreTest, MultiGetDuplicateProbesAndSnapshot) {
+TEST(StoreTest, MultiGetViewDuplicateProbesAndSnapshot) {
   auto store = AliHBase::Open(MemOptions());
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE((*store)->Put("u", "bf", "x", "old", 10).ok());
   ASSERT_TRUE((*store)->Put("u", "bf", "x", "new", 20).ok());
 
   // Duplicate coordinates collapse to one lookup internally but still get
-  // one result slot each.
-  const std::vector<ColumnProbe> probes = {
+  // one result slot each, and the snapshot applies to every probe.
+  const std::vector<ColumnProbeView> probes = {
       {"u", "bf", "x"}, {"u", "bf", "x"}, {"u", "bf", "x"}};
-  const auto latest = (*store)->MultiGet(probes);
-  ASSERT_EQ(latest.size(), 3u);
-  for (const auto& value : latest) EXPECT_EQ(*value, "new");
-
-  // The snapshot applies to every probe of the batch.
-  const auto pinned = (*store)->MultiGet(probes, 15);
-  ASSERT_EQ(pinned.size(), 3u);
-  for (const auto& value : pinned) EXPECT_EQ(*value, "old");
-
-  const auto before = (*store)->MultiGet(probes, 5);
-  for (const auto& value : before) EXPECT_TRUE(value.status().IsNotFound());
-
-  EXPECT_TRUE((*store)->MultiGet({}).empty());
+  ReadPin pin;
+  std::vector<StatusOr<std::string_view>> out(3, StatusOr<std::string_view>(std::string_view()));
+  (*store)->MultiGetView(probes.data(), probes.size(), &pin, out.data());
+  for (const auto& value : out) EXPECT_EQ(*value, "new");
+  (*store)->MultiGetView(probes.data(), probes.size(), &pin, out.data(), 15);
+  for (const auto& value : out) EXPECT_EQ(*value, "old");
+  (*store)->MultiGetView(probes.data(), probes.size(), &pin, out.data(), 5);
+  for (const auto& value : out) EXPECT_TRUE(value.status().IsNotFound());
+  (*store)->MultiGetView(nullptr, 0, &pin, nullptr);  // An empty batch is a no-op.
 }
 
-TEST(StoreTest, MultiGetMatchesGetAcrossMemtableAndSSTables) {
-  const std::string dir = TempDir("multiget");
-  StoreOptions options = MemOptions();
-  options.durable = true;
-  options.dir = dir;
-  auto store = AliHBase::Open(options);
-  ASSERT_TRUE(store.ok());
-  for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(
-        (*store)->Put("row" + std::to_string(i), "bf", "q", std::to_string(i), 1).ok());
-  }
-  ASSERT_TRUE((*store)->Flush().ok());
-  // Overwrite a few rows so the memtable shadows the SSTable for them.
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(
-        (*store)->Put("row" + std::to_string(i), "bf", "q", "mem" + std::to_string(i), 2).ok());
-  }
-  std::vector<ColumnProbe> probes;
-  for (int i = 39; i >= 0; --i) probes.push_back({"row" + std::to_string(i), "bf", "q"});
-  const auto results = (*store)->MultiGet(probes);
-  ASSERT_EQ(results.size(), probes.size());
-  for (std::size_t p = 0; p < probes.size(); ++p) {
-    const auto single = (*store)->Get(probes[p].row, probes[p].family, probes[p].qualifier);
-    ASSERT_TRUE(single.ok());
-    EXPECT_EQ(*results[p], *single) << probes[p].row;
-  }
-}
-
-TEST(StoreTest, MultiGetViewMatchesMultiGetAndReusesPin) {
+TEST(StoreTest, MultiGetViewMatchesGetAndReusesPin) {
   const std::string dir = TempDir("multigetview");
   StoreOptions options = MemOptions();
   options.durable = true;
@@ -536,24 +491,6 @@ TEST(StoreTest, MultiGetViewStaleAfterPinResetIsPoisoned) {
   EXPECT_TRUE(__asan_address_is_poisoned(data));
 }
 #endif
-
-TEST(StoreTest, MultiGetRowPreservesRequestOrder) {
-  auto store = AliHBase::Open(MemOptions());
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->Put("u1", "bf", "age", "30", 1).ok());
-  ASSERT_TRUE((*store)->Put("u1", "emb", "vec", "E1", 1).ok());
-  ASSERT_TRUE((*store)->Put("u2", "bf", "age", "40", 1).ok());
-
-  const auto rows = (*store)->MultiGetRow({"u2", "missing", "u1"});
-  ASSERT_EQ(rows.size(), 3u);
-  ASSERT_TRUE(rows[0].ok());
-  EXPECT_EQ(rows[0]->at("bf:age"), "40");
-  ASSERT_TRUE(rows[1].ok());
-  EXPECT_TRUE(rows[1]->empty());  // GetRow semantics: absent row = empty map.
-  ASSERT_TRUE(rows[2].ok());
-  EXPECT_EQ(rows[2]->size(), 2u);
-  EXPECT_EQ(rows[2]->at("emb:vec"), "E1");
-}
 
 TEST(StoreTest, FlushMovesDataToSSTable) {
   const std::string dir = TempDir("flush");
@@ -751,18 +688,13 @@ TEST(ShardedStoreTest, MatchesSingleShardSemantics) {
   ASSERT_EQ(lb->size(), 9u);
   for (std::size_t i = 0; i < 9; ++i) EXPECT_EQ((*la)[i].key.row, (*lb)[i].key.row);
 
-  // Row reads and batched row reads.
-  const auto ra = (*a)->GetRow("user7");
-  const auto rb = (*b)->GetRow("user7");
-  ASSERT_TRUE(ra.ok() && rb.ok());
-  EXPECT_EQ(*ra, *rb);
-  const std::vector<std::string> rows = {"user9", "user1", "user30", "absent"};
-  const auto ma = (*a)->MultiGetRow(rows);
-  const auto mb = (*b)->MultiGetRow(rows);
-  ASSERT_EQ(ma.size(), mb.size());
-  for (std::size_t i = 0; i < ma.size(); ++i) {
-    ASSERT_TRUE(ma[i].ok() && mb[i].ok());
-    EXPECT_EQ(*ma[i], *mb[i]);
+  // Single-row scans (one stripe on the sharded store).
+  for (const std::string row : {"user7", "user9", "user30", "absent"}) {
+    const auto ra = (*a)->Scan(row, row + '\0');
+    const auto rb = (*b)->Scan(row, row + '\0');
+    ASSERT_TRUE(ra.ok() && rb.ok());
+    ASSERT_EQ(ra->size(), rb->size()) << row;
+    for (std::size_t i = 0; i < ra->size(); ++i) EXPECT_EQ((*ra)[i].value, (*rb)[i].value);
   }
 }
 
@@ -817,59 +749,27 @@ TEST(ShardedStoreTest, ShardCountIsPinnedByTheDirectory) {
   EXPECT_EQ(*(*reopened)->Get("alice", "bf", "q"), "A");
 }
 
-TEST(ShardedStoreTest, MigratesLegacySingleWalDirectory) {
-  // Hand-build a pre-shard layout: one root-level WAL plus root-level
-  // SSTables, exactly what Open() produced before sharding landed.
-  const std::string dir = TempDir("sharded_migrate");
-  fs::create_directories(dir);
-  {
-    // Legacy SSTable 1: the older flush.
-    std::vector<Cell> old_cells;
-    for (int i = 0; i < 20; ++i) {
-      old_cells.push_back(
-          {CellKey{"user" + std::to_string(i), "bf", "q", 1}, "old" + std::to_string(i), false});
-    }
-    std::sort(old_cells.begin(), old_cells.end(),
-              [](const Cell& x, const Cell& y) { return x.key < y.key; });
-    ASSERT_TRUE(SSTable::Write(dir + "/1.sst", old_cells).ok());
-    // Legacy SSTable 2 overwrites user3 at the same version: the newer
-    // file must win after migration, as it did before.
-    std::vector<Cell> newer_cells = {{CellKey{"user3", "bf", "q", 1}, "newer3", false}};
-    ASSERT_TRUE(SSTable::Write(dir + "/2.sst", newer_cells).ok());
-    // Legacy WAL: unflushed tail, including a same-version overwrite that
-    // must beat both SSTables.
-    auto wal = WriteAheadLog::Open(dir + "/wal.log");
-    ASSERT_TRUE(wal.ok());
-    std::string record;
-    record += EncodeCell({CellKey{"user5", "bf", "q", 1}, "walwins5", false});
-    record += EncodeCell({CellKey{"user90", "bf", "q", 2}, "tail90", false});
-    ASSERT_TRUE(wal->Append(record).ok());
-  }
-
+TEST(ShardedStoreTest, RootLevelPreShardFilesFailOpen) {
+  // The pre-shard layout kept one WAL and the SSTables at the directory
+  // root. Open must refuse such a directory, naming the file, rather than
+  // serve it without those cells.
   StoreOptions options = MemOptions();
   options.durable = true;
-  options.dir = dir;
   options.num_shards = 4;
-  {
-    auto store = AliHBase::Open(options);
-    ASSERT_TRUE(store.ok());
-    EXPECT_EQ((*store)->num_shards(), 4u);
-    // Every legacy cell is readable, with legacy resolution preserved:
-    // WAL over SSTables, newer SSTable over older.
-    EXPECT_EQ(*(*store)->Get("user0", "bf", "q"), "old0");
-    EXPECT_EQ(*(*store)->Get("user3", "bf", "q"), "newer3");
-    EXPECT_EQ(*(*store)->Get("user5", "bf", "q"), "walwins5");
-    EXPECT_EQ(*(*store)->Get("user90", "bf", "q"), "tail90");
-    // The legacy files are gone; the data now lives under shard dirs.
-    EXPECT_FALSE(fs::exists(dir + "/wal.log"));
-    EXPECT_FALSE(fs::exists(dir + "/1.sst"));
-    EXPECT_FALSE(fs::exists(dir + "/2.sst"));
+  for (const std::string name : {"wal.log", "1.sst"}) {
+    options.dir = TempDir("sharded_preshard");
+    fs::create_directories(options.dir);
+    const std::string path = options.dir + "/" + name;
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fclose(f);
+    const auto store = AliHBase::Open(options);
+    ASSERT_FALSE(store.ok()) << name;
+    EXPECT_EQ(store.status().code(), StatusCode::kFailedPrecondition)
+        << store.status().ToString();
+    EXPECT_NE(store.status().message().find(path), std::string::npos)
+        << store.status().ToString();
   }
-  // And the migrated layout survives a reopen on its own.
-  auto reopened = AliHBase::Open(options);
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ(*(*reopened)->Get("user5", "bf", "q"), "walwins5");
-  EXPECT_EQ(*(*reopened)->Get("user90", "bf", "q"), "tail90");
 }
 
 TEST(ShardedStoreTest, FlushAndCompactWorkPerShard) {

@@ -77,10 +77,8 @@ TEST(TableTest, SchemaEnforcedOnAppend) {
 
 TEST(TableTest, SerializeRoundTrip) {
   const Table table = PeopleTable();
-  uint32_t version = 0;
-  const auto parsed = Table::Deserialize(table.Serialize(), &version);
+  const auto parsed = Table::Deserialize(table.Serialize());
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(version, 2u);  // Serialize() writes the columnar format.
   EXPECT_EQ(parsed->num_rows(), table.num_rows());
   EXPECT_EQ(parsed->schema().num_columns(), 4u);
   for (std::size_t r = 0; r < table.num_rows(); ++r) {
@@ -109,46 +107,28 @@ TEST(TableTest, NullsSurviveColumnarRoundTrip) {
   }
 }
 
-// A legacy v1 (row-major) blob must still deserialize, report its format
-// version, and come back as v2 once reserialized.
-TEST(TableTest, V1BlobDeserializesAndUpgrades) {
-  const Table table = PeopleTable();
-  const std::string v1 = table.SerializeV1();
-  uint32_t version = 0;
-  const auto parsed = Table::Deserialize(v1, &version);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(version, 1u);
-  ASSERT_EQ(parsed->num_rows(), table.num_rows());
-  for (std::size_t r = 0; r < table.num_rows(); ++r) {
-    for (std::size_t c = 0; c < 4; ++c) {
-      EXPECT_EQ(Value::Compare(parsed->row(r)[c], table.row(r)[c]), 0);
-    }
-  }
-  uint32_t reversion = 0;
-  const auto upgraded = Table::Deserialize(parsed->Serialize(), &reversion);
-  ASSERT_TRUE(upgraded.ok());
-  EXPECT_EQ(reversion, 2u);
-  EXPECT_EQ(upgraded->num_rows(), table.num_rows());
-}
-
-// Hostile blobs: truncations and forged counts in either format must
-// return DataLoss, never read past the buffer or allocate absurdly.
+// Hostile blobs: truncations, forged counts and blobs in the retired
+// row-major format must return DataLoss, never read past the buffer or
+// allocate absurdly.
 TEST(TableTest, HostileBlobsAreRejected) {
   const Table table = PeopleTable();
-  const std::string v1 = table.SerializeV1();
   const std::string v2 = table.Serialize();
 
-  // Every prefix of both formats either parses to the full table (only
-  // the complete blob) or errors cleanly.
-  for (const std::string* blob : {&v1, &v2}) {
-    for (std::size_t cut = 0; cut < blob->size(); ++cut) {
-      const auto parsed = Table::Deserialize(blob->substr(0, cut));
-      EXPECT_FALSE(parsed.ok()) << "accepted prefix of length " << cut;
-      if (!parsed.ok()) EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss);
-    }
-    // Trailing garbage is also corruption, not ignored padding.
-    EXPECT_FALSE(Table::Deserialize(*blob + "x").ok());
+  // Every prefix either parses to the full table (only the complete blob)
+  // or errors cleanly.
+  for (std::size_t cut = 0; cut < v2.size(); ++cut) {
+    const auto parsed = Table::Deserialize(v2.substr(0, cut));
+    ASSERT_FALSE(parsed.ok()) << "accepted prefix of length " << cut;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss);
   }
+  // Trailing garbage is also corruption, not ignored padding.
+  EXPECT_FALSE(Table::Deserialize(v2 + "x").ok());
+
+  // A magic-less blob — the old row-major layout led straight with the
+  // u32 column count and the schema — has no reader any more.
+  const auto magicless = Table::Deserialize(v2.substr(4));
+  ASSERT_FALSE(magicless.ok());
+  EXPECT_EQ(magicless.status().code(), StatusCode::kDataLoss);
 
   // Forged row count promising more rows than the buffer holds.
   {
@@ -168,11 +148,15 @@ TEST(TableTest, HostileBlobsAreRejected) {
     }
   }
 
-  // A v1 string length running past the buffer.
+  // A string length running past the buffer, inside a kMixed lane (its
+  // cells use the tagged Value encoding, so GetValue's bound check runs).
   {
     Table one{Schema({{"s", ValueType::kString}})};
+    ASSERT_TRUE(one.Append({Value(int64_t{7})}).ok());
     ASSERT_TRUE(one.Append({Value(std::string("abcdef"))}).ok());
-    std::string blob = one.SerializeV1();
+    ASSERT_EQ(one.column_data(0).lane, Table::Lane::kMixed);
+    std::string blob = one.Serialize();
+    ASSERT_TRUE(Table::Deserialize(blob).ok());
     // The final u32 before the string bytes is its length; inflate it.
     const std::size_t len_pos = blob.size() - 6 - 4;
     blob[len_pos] = '\xff';
@@ -180,7 +164,8 @@ TEST(TableTest, HostileBlobsAreRejected) {
     blob[len_pos + 2] = '\x00';
     blob[len_pos + 3] = '\x00';
     const auto parsed = Table::Deserialize(blob);
-    EXPECT_FALSE(parsed.ok());
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss);
   }
 }
 
@@ -583,27 +568,6 @@ TEST(MaxComputeTest, PlanCacheEvictsLeastRecentlyUsed) {
   EXPECT_EQ(stats.plan_cache_hits, 2u);
   EXPECT_EQ(stats.plan_cache_evictions, 2u);
   EXPECT_EQ(stats.parse_failures, 0u);
-}
-
-// A v1 (row-major) table blob written directly into Pangu is readable
-// through MaxCompute and silently rewritten in the v2 columnar format on
-// first read.
-TEST(MaxComputeTest, LegacyV1BlobUpgradesOnRead) {
-  MaxComputeOptions options;
-  options.pangu_dir = TempDir("odps_v1_upgrade");
-  auto mc = MaxCompute::Open(options);
-  ASSERT_TRUE(mc.ok());
-  ASSERT_TRUE((*mc)->pangu().PutBlob("table/legacy", PeopleTable().SerializeV1()).ok());
-
-  const auto table = (*mc)->GetTable("legacy");
-  ASSERT_TRUE(table.ok()) << table.status().ToString();
-  EXPECT_EQ((*table)->num_rows(), 5u);
-
-  uint32_t version = 0;
-  const auto reread = (*mc)->pangu().GetTable("table/legacy", &version);
-  ASSERT_TRUE(reread.ok());
-  EXPECT_EQ(version, 2u);  // Rewritten columnar on first read.
-  EXPECT_EQ(reread->num_rows(), 5u);
 }
 
 }  // namespace

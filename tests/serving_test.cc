@@ -232,6 +232,16 @@ TEST_F(ModelServerTest, RouterBalancesAndFailsOver) {
 }
 
 
+/// Bounded spin until `done()` holds. A health-flap round waits on client
+/// progress this way, so the flaps overlap live scoring however many cores
+/// the host has (a bare yield lets all rounds finish before any client
+/// thread is scheduled).
+template <typename Done>
+void SpinUntil(Done done) {
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done() && std::chrono::steady_clock::now() < give_up) std::this_thread::yield();
+}
+
 TEST_F(ModelServerTest, RouterSurvivesConcurrentTrafficAndHealthFlaps) {
   ModelServerRouter router(store_, ModelServerOptions(), 4);
   ASSERT_TRUE(router.LoadModel(ml::SerializeModel(*model_), 42).ok());
@@ -253,10 +263,12 @@ TEST_F(ModelServerTest, RouterSurvivesConcurrentTrafficAndHealthFlaps) {
       }
     });
   }
-  // Flap instance health while traffic flows (never all down).
+  // Flap instance health while traffic flows (never all down); each
+  // round holds its instance down until the clients have scored more.
   for (int round = 0; round < 50; ++round) {
+    const int before = served.load();
     ASSERT_TRUE(router.SetInstanceHealthy(round % 4, false).ok());
-    std::this_thread::yield();
+    SpinUntil([&] { return served.load() >= before + 3; });
     ASSERT_TRUE(router.SetInstanceHealthy(round % 4, true).ok());
   }
   stop.store(true);
@@ -285,6 +297,7 @@ TEST_F(ModelServerTest, ConcurrentTrafficSurvivesBreakerTripsAndRecoveries) {
 
   std::atomic<int> hard_errors{0};
   std::atomic<int> served{0};
+  std::atomic<int> finished{0};
   std::vector<std::thread> clients;
   for (int t = 0; t < 4; ++t) {
     clients.emplace_back([&] {
@@ -296,12 +309,14 @@ TEST_F(ModelServerTest, ConcurrentTrafficSurvivesBreakerTripsAndRecoveries) {
           hard_errors.fetch_add(1);  // Injection may surface only as Unavailable.
         }
       }
+      finished.fetch_add(1);
     });
   }
   // Ops flips health under the same load the breaker is reacting to.
   for (int round = 0; round < 60; ++round) {
+    const int before = served.load();
     ASSERT_TRUE(router.SetInstanceHealthy(round % 3, false).ok());
-    std::this_thread::yield();
+    SpinUntil([&] { return served.load() > before || finished.load() == 4; });
     ASSERT_TRUE(router.SetInstanceHealthy(round % 3, true).ok());
   }
   for (auto& t : clients) t.join();
@@ -493,29 +508,33 @@ TEST_F(ModelServerTest, RouterPropagatesRequestLevelErrors) {
   EXPECT_TRUE(router.Score(req).status().IsNotFound());
 }
 
-TEST_F(ModelServerTest, ScoreBatchMatchesSingleRequestScores) {
-  // The batch path (one MultiGet + one vectorized model call) must produce
-  // the same verdicts, in request order, as N single Scores.
+/// One result slot per request, for ScoreSpan to fill.
+std::vector<StatusOr<Verdict>> Slots(std::size_t n) {
+  return std::vector<StatusOr<Verdict>>(n, StatusOr<Verdict>(Status::Internal("unscored")));
+}
+
+TEST_F(ModelServerTest, ScoreSpanMatchesSingleRequestScores) {
+  // The span path (one MultiGetView + one vectorized model call) must
+  // produce the same verdicts, in request order, as N single Scores.
   std::vector<TransferRequest> batch;
   for (std::size_t i = 0; i < 16 && i < window_->test_records.size(); ++i) {
     batch.push_back(RequestFor(world_->log.records[window_->test_records[i]]));
   }
-  const auto items = server_->ScoreBatch(batch);
-  ASSERT_TRUE(items.ok()) << items.status().ToString();
-  ASSERT_EQ(items->size(), batch.size());
+  auto items = Slots(batch.size());
+  ASSERT_TRUE(server_->ScoreSpan(batch.data(), batch.size(), 0, items.data()).ok());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const auto single = server_->Score(batch[i]);
     ASSERT_TRUE(single.ok());
-    ASSERT_TRUE((*items)[i].ok()) << (*items)[i].status().ToString();
-    EXPECT_EQ((*items)[i]->fraud_probability, single->fraud_probability) << "row " << i;
-    EXPECT_EQ((*items)[i]->interrupt, single->interrupt);
-    EXPECT_EQ((*items)[i]->model_version, single->model_version);
-    EXPECT_FALSE((*items)[i]->degraded);
+    ASSERT_TRUE(items[i].ok()) << items[i].status().ToString();
+    EXPECT_EQ(items[i]->fraud_probability, single->fraud_probability) << "row " << i;
+    EXPECT_EQ(items[i]->interrupt, single->interrupt);
+    EXPECT_EQ(items[i]->model_version, single->model_version);
+    EXPECT_FALSE(items[i]->degraded);
   }
-  EXPECT_TRUE(server_->ScoreBatch({})->empty());
+  EXPECT_TRUE(server_->ScoreSpan(nullptr, 0, 0, nullptr).ok());
 }
 
-TEST_F(ModelServerTest, ScoreBatchIsolatesPerRowOutcomes) {
+TEST_F(ModelServerTest, ScoreSpanIsolatesPerRowOutcomes) {
   Failpoints::DisarmAll();
   ModelServer server(store_, ModelServerOptions());
   ASSERT_TRUE(server.LoadModel(ml::SerializeModel(*model_), 5).ok());
@@ -528,13 +547,13 @@ TEST_F(ModelServerTest, ScoreBatchIsolatesPerRowOutcomes) {
   // A data error in one row (unknown transferor) fails that item alone.
   std::vector<TransferRequest> mixed = batch;
   mixed[1].from_user = 5'000'000;
-  auto items = server.ScoreBatch(mixed);
-  ASSERT_TRUE(items.ok()) << items.status().ToString();
-  EXPECT_TRUE((*items)[0].ok());
-  EXPECT_TRUE((*items)[1].status().IsNotFound());
-  EXPECT_TRUE((*items)[2].ok());
-  EXPECT_TRUE((*items)[3].ok());
-  EXPECT_FALSE((*items)[0]->degraded);
+  auto items = Slots(4);
+  ASSERT_TRUE(server.ScoreSpan(mixed.data(), 4, 0, items.data()).ok());
+  EXPECT_TRUE(items[0].ok());
+  EXPECT_TRUE(items[1].status().IsNotFound());
+  EXPECT_TRUE(items[2].ok());
+  EXPECT_TRUE(items[3].ok());
+  EXPECT_FALSE(items[0]->degraded);
 
   // An infra failure on exactly one row's snapshot fetch degrades that row
   // and leaves its batch siblings at full quality. ScoreSpan issues five
@@ -546,18 +565,17 @@ TEST_F(ModelServerTest, ScoreBatchIsolatesPerRowOutcomes) {
   spec.skip = 10;
   spec.max_hits = 1;
   Failpoints::Arm("kvstore.get", spec);
-  items = server.ScoreBatch(batch);
+  const Status status = server.ScoreSpan(batch.data(), 4, 0, items.data());
   Failpoints::DisarmAll();
-  ASSERT_TRUE(items.ok()) << items.status().ToString();
-  ASSERT_EQ(items->size(), 4u);
+  ASSERT_TRUE(status.ok()) << status.ToString();
   for (std::size_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE((*items)[i].ok()) << "row " << i << ": " << (*items)[i].status().ToString();
-    EXPECT_EQ((*items)[i]->degraded, i == 2) << "row " << i;
+    ASSERT_TRUE(items[i].ok()) << "row " << i << ": " << items[i].status().ToString();
+    EXPECT_EQ(items[i]->degraded, i == 2) << "row " << i;
   }
   EXPECT_EQ(server.degraded_scores(), 1u);
 }
 
-TEST_F(ModelServerTest, RouterScoreBatchFailsOverAsAUnit) {
+TEST_F(ModelServerTest, RouterScoreSpanFailsOverAsAUnit) {
   Failpoints::DisarmAll();
   ModelServerRouter router(store_, ModelServerOptions(), 2);
   ASSERT_TRUE(router.LoadModel(ml::SerializeModel(*model_), 1).ok());
@@ -573,11 +591,11 @@ TEST_F(ModelServerTest, RouterScoreBatchFailsOverAsAUnit) {
   spec.code = StatusCode::kUnavailable;
   spec.max_hits = 1;
   Failpoints::Arm("serving.score", spec);
-  const auto items = router.ScoreBatch(batch);
+  auto items = Slots(3);
+  const Status status = router.ScoreSpan(batch.data(), 3, 0, items.data());
   Failpoints::DisarmAll();
-  ASSERT_TRUE(items.ok()) << items.status().ToString();
-  ASSERT_EQ(items->size(), 3u);
-  for (const auto& item : *items) ASSERT_TRUE(item.ok());
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  for (const auto& item : items) ASSERT_TRUE(item.ok());
   // One instance served all three rows; the failed dispatch served none.
   EXPECT_EQ(router.requests_served(0) + router.requests_served(1), 3u);
 }
