@@ -1,23 +1,33 @@
 #include "common/alias_table.h"
 
-#include "common/logging.h"
+#include <algorithm>
+#include <cmath>
 
 namespace titant {
 
+namespace {
+
+// A probability in [0, 1) as a 32-bit coin threshold; one that rounds up
+// to 2^32 saturates.
+uint32_t Threshold(double p) {
+  return static_cast<uint32_t>(std::min(p * 0x1.0p32, static_cast<double>(UINT32_MAX)));
+}
+
+}  // namespace
+
 bool AliasTable::Build(const std::vector<double>& weights) {
-  prob_.clear();
-  alias_.clear();
-  if (weights.empty()) return false;
+  cells_.clear();
+  // The multiply-shift index and the 32-bit alias reach 2^32 cells.
+  if (weights.empty() || weights.size() > (uint64_t{1} << 32)) return false;
   double total = 0.0;
   for (double w : weights) {
-    if (w < 0.0) return false;
+    if (!(w >= 0.0)) return false;  // Negative or NaN.
     total += w;
   }
-  if (total <= 0.0) return false;
+  if (!(total > 0.0) || std::isinf(total)) return false;
 
   const std::size_t n = weights.size();
-  prob_.resize(n);
-  alias_.resize(n);
+  cells_.resize(n);
   std::vector<double> scaled(n);
   for (std::size_t i = 0; i < n; ++i) scaled[i] = weights[i] * static_cast<double>(n) / total;
 
@@ -32,27 +42,14 @@ bool AliasTable::Build(const std::vector<double>& weights) {
     small.pop_back();
     const uint32_t l = large.back();
     large.pop_back();
-    prob_[s] = scaled[s];
-    alias_[s] = l;
+    cells_[s] = {Threshold(scaled[s]), l};
     scaled[l] = scaled[l] + scaled[s] - 1.0;
     (scaled[l] < 1.0 ? small : large).push_back(l);
   }
   // Numerical leftovers: both stacks hold cells with probability ~1.
-  for (uint32_t s : small) {
-    prob_[s] = 1.0;
-    alias_[s] = s;
-  }
-  for (uint32_t l : large) {
-    prob_[l] = 1.0;
-    alias_[l] = l;
-  }
+  for (uint32_t s : small) cells_[s] = {UINT32_MAX, s};
+  for (uint32_t l : large) cells_[l] = {UINT32_MAX, l};
   return true;
-}
-
-std::size_t AliasTable::Sample(Rng& rng) const {
-  TITANT_CHECK(!prob_.empty()) << "sampling from an empty AliasTable";
-  const std::size_t i = static_cast<std::size_t>(rng.Uniform(prob_.size()));
-  return rng.NextDouble() < prob_[i] ? i : alias_[i];
 }
 
 }  // namespace titant

@@ -66,7 +66,13 @@ StatusOr<EmbeddingMatrix> EmbeddingMatrix::Deserialize(const std::string& blob) 
   int32_t dim = 0;
   std::memcpy(&dim, p, sizeof(dim));
   p += sizeof(dim);
-  if (dim < 0 || rows > (1ULL << 40)) return Status::Corruption("implausible embedding shape");
+  // Bound the shape by the payload before multiplying, so the product
+  // cannot wrap.
+  const std::size_t floats = (blob.size() - header) / sizeof(float);
+  if (dim < 0 || rows > (1ULL << 40) ||
+      (dim > 0 && rows > floats / static_cast<std::size_t>(dim))) {
+    return Status::Corruption("implausible embedding shape");
+  }
   const std::size_t expect = header + static_cast<std::size_t>(rows) * dim * sizeof(float);
   if (blob.size() != expect) return Status::Corruption("embedding blob size mismatch");
   EmbeddingMatrix m(static_cast<std::size_t>(rows), dim);

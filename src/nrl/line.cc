@@ -6,18 +6,9 @@
 
 #include "common/alias_table.h"
 #include "common/random.h"
+#include "nrl/sgns.h"
 
 namespace titant::nrl {
-
-namespace {
-
-float FastSigmoid(float x) {
-  if (x > 6.0f) return 1.0f;
-  if (x < -6.0f) return 0.0f;
-  return 1.0f / (1.0f + std::exp(-x));
-}
-
-}  // namespace
 
 StatusOr<EmbeddingMatrix> TrainLine(const graph::TransactionNetwork& network,
                                     const LineOptions& options) {
@@ -60,6 +51,8 @@ StatusOr<EmbeddingMatrix> TrainLine(const graph::TransactionNetwork& network,
 
   EmbeddingMatrix vertex(n, dim);
   EmbeddingMatrix context(n, dim);  // Used by second-order only.
+  // First-order trains vertex·vertex; second-order vertex·context.
+  EmbeddingMatrix& others = options.order == 1 ? vertex : context;
   Rng rng(options.seed);
   for (std::size_t v = 0; v < n; ++v) {
     float* row = vertex.Row(v);
@@ -78,29 +71,13 @@ StatusOr<EmbeddingMatrix> TrainLine(const graph::TransactionNetwork& network,
     const auto [source, target] = edges[edge_table.Sample(rng)];
     float* v_source = vertex.Row(source);
     std::fill(grad.begin(), grad.end(), 0.0f);
-    for (int s = 0; s < options.negatives + 1; ++s) {
-      std::size_t other;
-      float label;
-      if (s == 0) {
-        other = target;
-        label = 1.0f;
-      } else {
-        other = neg_table.Sample(rng);
-        if (other == target || other == source) continue;
-        label = 0.0f;
-      }
-      // First-order trains vertex·vertex; second-order vertex·context.
-      float* v_other =
-          options.order == 1 ? vertex.Row(other) : context.Row(other);
-      float dot = 0.0f;
-      for (int d = 0; d < dim; ++d) dot += v_source[d] * v_other[d];
-      const float g = (label - FastSigmoid(dot)) * alpha;
-      for (int d = 0; d < dim; ++d) {
-        grad[d] += g * v_other[d];
-        v_other[d] += g * v_source[d];
-      }
+    sgns::Step(v_source, others.Row(target), 1.0f, alpha, grad.data(), dim);
+    for (int s = 0; s < options.negatives; ++s) {
+      const std::size_t other = neg_table.Sample(rng);
+      if (other == target || other == source) continue;
+      sgns::Step(v_source, others.Row(other), 0.0f, alpha, grad.data(), dim);
     }
-    for (int d = 0; d < dim; ++d) v_source[d] += grad[d];
+    sgns::AddTo(v_source, grad.data(), dim);
   }
   return vertex;
 }

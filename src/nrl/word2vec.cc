@@ -8,35 +8,9 @@
 #include "common/alias_table.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "nrl/sgns.h"
 
 namespace titant::nrl {
-
-namespace {
-
-// Precomputed sigmoid over [-kMaxExp, kMaxExp], the classic word2vec trick.
-class SigmoidTable {
- public:
-  SigmoidTable() {
-    for (int i = 0; i < kSize; ++i) {
-      const double x = (static_cast<double>(i) / kSize * 2.0 - 1.0) * kMaxExp;
-      table_[i] = static_cast<float>(1.0 / (1.0 + std::exp(-x)));
-    }
-  }
-
-  float operator()(float x) const {
-    if (x >= kMaxExp) return 1.0f;
-    if (x <= -kMaxExp) return 0.0f;
-    const int idx = static_cast<int>((x + kMaxExp) * (kSize / (2.0f * kMaxExp)));
-    return table_[std::clamp(idx, 0, kSize - 1)];
-  }
-
- private:
-  static constexpr int kSize = 1024;
-  static constexpr float kMaxExp = 6.0f;
-  float table_[kSize];
-};
-
-}  // namespace
 
 StatusOr<EmbeddingMatrix> TrainSkipGram(const graph::WalkCorpus& corpus, std::size_t num_nodes,
                                         const Word2VecOptions& options) {
@@ -78,8 +52,6 @@ StatusOr<EmbeddingMatrix> TrainSkipGram(const graph::WalkCorpus& corpus, std::si
     return Status::InvalidArgument("corpus is empty; nothing to train");
   }
 
-  static const SigmoidTable sigmoid;
-
   const double total_tokens =
       static_cast<double>(corpus.TotalTokens()) * options.epochs + 1.0;
   std::atomic<uint64_t> tokens_done{0};
@@ -109,27 +81,13 @@ StatusOr<EmbeddingMatrix> TrainSkipGram(const graph::WalkCorpus& corpus, std::si
             float* v_center = syn0.Row(center);
             std::fill(grad_center.begin(), grad_center.end(), 0.0f);
             // One positive + `negatives` sampled negatives.
-            for (int s = 0; s < options.negatives + 1; ++s) {
-              std::size_t target;
-              float label;
-              if (s == 0) {
-                target = context;
-                label = 1.0f;
-              } else {
-                target = neg_table.Sample(rng);
-                if (target == context) continue;
-                label = 0.0f;
-              }
-              float* v_target = syn1.Row(target);
-              float dot = 0.0f;
-              for (int d = 0; d < dim; ++d) dot += v_center[d] * v_target[d];
-              const float g = (label - sigmoid(dot)) * alpha;
-              for (int d = 0; d < dim; ++d) {
-                grad_center[d] += g * v_target[d];
-                v_target[d] += g * v_center[d];
-              }
+            sgns::Step(v_center, syn1.Row(context), 1.0f, alpha, grad_center.data(), dim);
+            for (int s = 0; s < options.negatives; ++s) {
+              const std::size_t target = neg_table.Sample(rng);
+              if (target == context) continue;
+              sgns::Step(v_center, syn1.Row(target), 0.0f, alpha, grad_center.data(), dim);
             }
-            for (int d = 0; d < dim; ++d) v_center[d] += grad_center[d];
+            sgns::AddTo(v_center, grad_center.data(), dim);
           }
         }
       }

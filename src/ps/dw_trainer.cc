@@ -7,6 +7,7 @@
 
 #include "common/alias_table.h"
 #include "common/random.h"
+#include "nrl/sgns.h"
 
 namespace titant::ps {
 
@@ -16,12 +17,6 @@ namespace {
 // vectors) on odd keys.
 Key Syn0Key(std::size_t node) { return static_cast<Key>(node) * 2; }
 Key Syn1Key(std::size_t node) { return static_cast<Key>(node) * 2 + 1; }
-
-float FastSigmoid(float x) {
-  if (x > 6.0f) return 1.0f;
-  if (x < -6.0f) return 0.0f;
-  return 1.0f / (1.0f + std::exp(-x));
-}
 
 }  // namespace
 
@@ -130,6 +125,7 @@ StatusOr<nrl::EmbeddingMatrix> DistributedDeepWalkTrain(KunPengCluster& cluster,
         const float progress = static_cast<float>(done / total_tokens);
         const float alpha = std::max(w2v.min_alpha, w2v.alpha * (1.0f - progress));
         std::size_t neg_cursor = 0;
+        auto syn1 = [&](std::size_t node) { return local.data() + slot[Syn1Key(node)] * dim; };
         for (std::size_t wi = batch_begin; wi < batch_end; ++wi) {
           const auto& walk = corpus.walks[wi];
           for (std::size_t i = 0; i < walk.size(); ++i) {
@@ -141,27 +137,14 @@ StatusOr<nrl::EmbeddingMatrix> DistributedDeepWalkTrain(KunPengCluster& cluster,
             for (std::size_t j = lo; j <= hi; ++j) {
               if (j == i) continue;
               std::fill(grad_center.begin(), grad_center.end(), 0.0f);
-              for (int s = 0; s < w2v.negatives + 1; ++s) {
-                std::size_t target_node;
-                float label;
-                if (s == 0) {
-                  target_node = walk[j];
-                  label = 1.0f;
-                } else {
-                  target_node = negatives[neg_cursor++ % negatives.size()];
-                  if (target_node == walk[j]) continue;
-                  label = 0.0f;
-                }
-                float* v_target = local.data() + slot[Syn1Key(target_node)] * dim;
-                float dot = 0.0f;
-                for (int d = 0; d < dim; ++d) dot += v_center[d] * v_target[d];
-                const float g = (label - FastSigmoid(dot)) * alpha;
-                for (int d = 0; d < dim; ++d) {
-                  grad_center[d] += g * v_target[d];
-                  v_target[d] += g * v_center[d];
-                }
+              const auto context = walk[j];
+              nrl::sgns::Step(v_center, syn1(context), 1.0f, alpha, grad_center.data(), dim);
+              for (int s = 0; s < w2v.negatives; ++s) {
+                const std::size_t target = negatives[neg_cursor++ % negatives.size()];
+                if (target == context) continue;
+                nrl::sgns::Step(v_center, syn1(target), 0.0f, alpha, grad_center.data(), dim);
               }
-              for (int d = 0; d < dim; ++d) v_center[d] += grad_center[d];
+              nrl::sgns::AddTo(v_center, grad_center.data(), dim);
             }
           }
         }

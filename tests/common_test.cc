@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <set>
 
 #include "common/alias_table.h"
@@ -379,7 +380,35 @@ TEST(AliasTableTest, RejectsInvalidWeights) {
   EXPECT_FALSE(table.Build({}));
   EXPECT_FALSE(table.Build({0.0, 0.0}));
   EXPECT_FALSE(table.Build({1.0, -0.5}));
+  EXPECT_FALSE(table.Build({1.0, std::nan("")}));
+  EXPECT_FALSE(table.Build({1.0, std::numeric_limits<double>::infinity()}));
   EXPECT_TRUE(table.empty());
+}
+
+TEST(AliasTableTest, LargeTableIndexReachesTheEnd) {
+  // Not a power of two and above 2^16: the multiply-shift index must cover
+  // every cell, or the cells aliased to the last one are drawn too rarely.
+  const std::size_t size = 70001;
+  std::vector<double> weights(size, 0.0);
+  weights.front() = 1.0;
+  weights.back() = 1.0;
+  const AliasTable table(weights);
+  ASSERT_EQ(table.size(), size);
+  Rng rng(11);
+  const int draws = 400000;
+  int first = 0, last = 0;
+  for (int i = 0; i < draws; ++i) {
+    const std::size_t drawn = table.Sample(rng);
+    if (drawn == 0) {
+      ++first;
+    } else if (drawn == size - 1) {
+      ++last;
+    } else {
+      FAIL() << "drew zero-weight cell " << drawn;
+    }
+  }
+  EXPECT_NEAR(static_cast<double>(first) / draws, 0.5, 0.01);
+  EXPECT_NEAR(static_cast<double>(last) / draws, 0.5, 0.01);
 }
 
 TEST(HistogramTest, ExactSmallSample) {

@@ -4,13 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <vector>
 
 #include "common/random.h"
 #include "graph/random_walk.h"
 #include "nrl/deepwalk.h"
 #include "nrl/embedding.h"
 #include "nrl/line.h"
+#include "nrl/sgns.h"
 #include "nrl/struct2vec.h"
 #include "nrl/word2vec.h"
 
@@ -38,6 +41,16 @@ TEST(EmbeddingTest, RejectsCorruptBlobs) {
   blob[0] = 'X';
   EXPECT_FALSE(EmbeddingMatrix::Deserialize(blob).ok());
   EXPECT_FALSE(EmbeddingMatrix::Deserialize(m.Serialize() + "junk").ok());
+  // rows = 2^40, dim = 2^24 over an empty payload: the byte count wraps
+  // to 0 in 64 bits, so only a bound taken before multiplying rejects it.
+  std::string wrap(16, '\0');
+  const uint32_t magic = 0x54414E45;
+  const uint64_t rows = uint64_t{1} << 40;
+  const int32_t dim = 1 << 24;
+  std::memcpy(wrap.data(), &magic, sizeof(magic));
+  std::memcpy(wrap.data() + 4, &rows, sizeof(rows));
+  std::memcpy(wrap.data() + 12, &dim, sizeof(dim));
+  EXPECT_FALSE(EmbeddingMatrix::Deserialize(wrap).ok());
 }
 
 TEST(EmbeddingTest, FileRoundTrip) {
@@ -119,6 +132,45 @@ TEST(Word2VecTest, SeparatesCommunities) {
       << "intra=" << intra / intra_n << " inter=" << inter / inter_n;
 }
 
+TEST(SgnsKernelTest, MatchesScalarDoubleReference) {
+  Rng rng(5);
+  for (int dim : {1, 3, 4, 5, 8, 13, 32, 33}) {
+    for (bool same_row : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "dim " << dim << " same_row " << same_row);
+      const auto n = static_cast<std::size_t>(dim);
+      std::vector<float> c(n), t(n), grad(n);
+      for (std::size_t d = 0; d < n; ++d) {
+        c[d] = static_cast<float>(rng.UniformReal(-1.0, 1.0));
+        t[d] = static_cast<float>(rng.UniformReal(-1.0, 1.0));
+        grad[d] = static_cast<float>(rng.UniformReal(-1.0, 1.0));
+      }
+      float* target = t.data();
+      const float* center = same_row ? target : c.data();
+
+      double dot = 0.0, dot_scale = 0.0;
+      for (std::size_t d = 0; d < n; ++d) {
+        dot += static_cast<double>(center[d]) * target[d];
+        dot_scale += std::fabs(static_cast<double>(center[d]) * target[d]);
+      }
+      EXPECT_NEAR(sgns::Dot(center, target, dim), dot, 1e-6 * dot_scale);
+
+      const float g = 0.37f;
+      std::vector<double> want_grad(n), want_t(n), grad_scale(n), t_scale(n);
+      for (std::size_t d = 0; d < n; ++d) {
+        want_grad[d] = grad[d] + static_cast<double>(g) * target[d];
+        want_t[d] = target[d] + static_cast<double>(g) * center[d];
+        grad_scale[d] = std::fabs(grad[d]) + std::fabs(g * target[d]);
+        t_scale[d] = std::fabs(target[d]) + std::fabs(g * center[d]);
+      }
+      sgns::Update(g, center, target, grad.data(), dim);
+      for (std::size_t d = 0; d < n; ++d) {
+        EXPECT_NEAR(grad[d], want_grad[d], 1e-6 * grad_scale[d]) << "grad " << d;
+        EXPECT_NEAR(t[d], want_t[d], 1e-6 * t_scale[d]) << "t " << d;
+      }
+    }
+  }
+}
+
 TEST(Word2VecTest, DeterministicSingleThread) {
   const auto g = TwoCommunities(10, 4);
   graph::RandomWalkOptions walk_options;
@@ -126,13 +178,16 @@ TEST(Word2VecTest, DeterministicSingleThread) {
   walk_options.walks_per_node = 5;
   const auto corpus = graph::GenerateWalks(g, walk_options);
   ASSERT_TRUE(corpus.ok());
-  Word2VecOptions options;
-  options.dim = 8;
-  const auto a = TrainSkipGram(*corpus, g.num_nodes(), options);
-  const auto b = TrainSkipGram(*corpus, g.num_nodes(), options);
-  ASSERT_TRUE(a.ok() && b.ok());
-  for (std::size_t r = 0; r < a->rows(); ++r) {
-    for (int c = 0; c < a->dim(); ++c) EXPECT_EQ(a->Row(r)[c], b->Row(r)[c]);
+  // Dim 13 also runs the kernel's scalar tail (13 % 4 != 0).
+  for (int dim : {8, 13}) {
+    Word2VecOptions options;
+    options.dim = dim;
+    const auto a = TrainSkipGram(*corpus, g.num_nodes(), options);
+    const auto b = TrainSkipGram(*corpus, g.num_nodes(), options);
+    ASSERT_TRUE(a.ok() && b.ok());
+    for (std::size_t r = 0; r < a->rows(); ++r) {
+      for (int c = 0; c < a->dim(); ++c) EXPECT_EQ(a->Row(r)[c], b->Row(r)[c]) << "dim " << dim;
+    }
   }
 }
 
